@@ -30,6 +30,13 @@
 //!   is not preserved (integers have no negative zero);
 //! * tiny magnitudes are *not* errors: `1e-400` underflows gracefully to
 //!   `0.0`, exactly as `str::parse::<f64>` defines it.
+//!
+//! ## Nesting limit
+//!
+//! The parser recurses once per nested array or object, and its input
+//! comes from outside the process (request lines, cache files, peers'
+//! `artifact_put` payloads). Nesting deeper than [`MAX_DEPTH`] is a
+//! [`ParseError`], so a line like `[[[[…]]]]` cannot overflow the stack.
 
 use serde::Value;
 use std::fmt::Write as _;
@@ -110,17 +117,26 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts: 128, the
+/// recursion limit `serde_json` defaults to. The workspace's own
+/// documents (wire messages, artifact envelopes) nest a handful of
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document into a [`Value`].
 ///
 /// Numbers are classed by shape: a mantissa dot or exponent makes an
 /// [`Value::F64`], a leading minus an [`Value::I64`], anything else a
 /// [`Value::U64`]. Out-of-range literals are a [`ParseError`], never a
-/// silent wrap — see the module docs for the exact policy. Errors carry
-/// a byte offset and a short description.
+/// silent wrap — see the module docs for the exact policy. Nesting
+/// deeper than [`MAX_DEPTH`] is an error too. Errors carry a byte
+/// offset and a short description.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -150,8 +166,11 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -196,12 +215,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Parser::seq),
+            Some(b'{') => self.nested(Parser::map),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, ParseError> {
@@ -295,13 +328,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
+                    // Consume one UTF-8 scalar, not one byte. Decoding
+                    // from the already-valid input keeps a long string
+                    // linear; re-validating the rest per character made
+                    // a 1 MiB line cost ~20 s.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("raw control character in string"));
                     }
@@ -435,6 +470,35 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("12 34").unwrap_err().message.contains("trailing"));
         assert!(parse("\"\u{1}\"").is_err(), "raw control char rejected");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+        for (open, close) in [("[", "]"), ("{\"a\":", "}"), ("[{\"a\":", "}]")] {
+            let e = parse(&nest(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(e.message.contains("nesting deeper"), "{e}");
+        }
+        // Far past the limit (a line that used to overflow the stack)
+        // fails fast at the first level too deep.
+        let e = parse(&nest(200_000, "[", "]")).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A line-cap-sized string with multi-byte characters in it. The
+        // bound is two orders of magnitude above a linear scan, even
+        // unoptimised; the old per-character re-validation took minutes.
+        let long = "aé€".repeat(1 << 18);
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&format!("[\"{long}\"]")).unwrap();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+        assert_eq!(parsed, Value::Seq(vec![Value::Str(long)]));
     }
 
     #[test]

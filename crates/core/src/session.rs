@@ -7,18 +7,21 @@
 //!
 //! ```text
 //! Session::new(dfg) → .analyze() → .enumerate(span) → .select(engine)
-//!                   → .schedule(engine) → .map_tile(params) → .finish()
+//!   one tile:  → .schedule(engine) → .map_tile(params) → .finish()
+//!   a fabric:  → .partition(fabric) → .schedule_fabric(engine)
+//!              → .map_fabric() → .finish()
 //! ```
 //!
 //! — each returning a typed artifact ([`Analysis`], [`Enumerated`],
-//! [`Selected`], [`Scheduled`], [`Mapped`]) that borrows the session, so
-//! stages can only run in order and intermediate results are inspectable
-//! at every step. The session caches each [`PatternTable`] it builds,
-//! keyed by span limit + capacity + worker policy: the dominant cost of a
-//! compile is the §5.1 enumeration, and repeated selects over the same
-//! graph (`Pdef` sweeps, engine comparisons, re-serving a hot kernel)
-//! skip it entirely — [`StageMetrics::table_cache_hits`] counts exactly
-//! when.
+//! [`Selected`], then [`Scheduled`], [`Mapped`] on one tile or
+//! [`Partitioned`], [`FabricScheduled`], [`FabricMapped`] across a
+//! multi-tile fabric) that borrows the session, so stages can only run
+//! in order and intermediate results are inspectable at every step. The
+//! session caches each [`PatternTable`] it builds, keyed by span limit +
+//! capacity + worker policy: the dominant cost of a compile is the §5.1
+//! enumeration, and repeated selects over the same graph (`Pdef` sweeps,
+//! engine comparisons, re-serving a hot kernel) skip it entirely —
+//! [`StageMetrics::table_cache_hits`] counts exactly when.
 //!
 //! [`Session::compile`] runs all stages per the session's
 //! [`CompileConfig`]; [`Session::compile_batch`] fans whole compiles over
@@ -31,14 +34,13 @@ pub use crate::metrics::StageMetrics;
 use mps_dfg::{AnalyzedDfg, Dfg};
 use mps_fabric::{FabricError, FabricMapping, FabricParams};
 use mps_montium::{execute, ExecReport, TileParams};
-use mps_par::CancelToken;
+use mps_par::{CacheBudget, CancelToken, FlightError, SingleFlight};
 use mps_patterns::{EnumerateConfig, PatternSet, PatternTable};
 use mps_scheduler::{EngineSchedule, Schedule, ScheduleEngine, ScheduleTrace};
 use mps_select::{SelectConfig, SelectEngine, SelectionOutcome};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Configuration of a whole staged compile: selection parameters, the two
 /// engine choices, and the optional tile-replay stage.
@@ -113,7 +115,7 @@ impl CompileConfig {
 /// each `pt-*.json` file by the graph hash plus
 /// [`TableKey::content_hash`], and seeding a [`TableCache`] from disk
 /// needs to reconstruct the exact key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TableKey {
     /// ALUs per tile (`C`), bounding pattern size during enumeration.
     pub capacity: usize,
@@ -141,81 +143,6 @@ impl TableKey {
     }
 }
 
-/// What a [`TableSlot`] currently holds.
-#[derive(Debug, Default)]
-enum TableState {
-    /// The claiming session is still building.
-    #[default]
-    Pending,
-    /// The table landed; waiters take a clone.
-    Ready(Arc<PatternTable>),
-    /// The build was cancelled or panicked and the entry was removed:
-    /// waiters loop back and re-claim the key.
-    Abandoned,
-}
-
-/// One [`TableCache`] entry: a single-flight slot. The first session to
-/// claim a key builds into the slot; concurrent sessions on the same key
-/// block on the condvar until the table lands instead of re-enumerating.
-/// A build that dies — cancelled, deadline-expired, or panicked — marks
-/// the slot [`TableState::Abandoned`] instead of leaving it pending
-/// forever, so waiters wake and retry rather than deadlock.
-#[derive(Debug, Default)]
-struct TableSlot {
-    state: Mutex<TableState>,
-    cv: Condvar,
-}
-
-/// How a [`TableSlot::wait`] ended.
-enum TableWait {
-    Ready(Arc<PatternTable>),
-    /// The builder abandoned the slot; re-claim the key.
-    Abandoned,
-    /// The *waiter's own* cancel token fired while waiting.
-    Cancelled(mps_par::CancelKind),
-}
-
-impl TableSlot {
-    /// Block until the building session publishes or abandons, polling
-    /// the waiter's own `cancel` token (if any) so a deadline-bound
-    /// waiter gives up instead of outwaiting its budget.
-    fn wait(&self, cancel: Option<&CancelToken>) -> TableWait {
-        let mut state = self.state.lock().expect("table slot poisoned");
-        loop {
-            match &*state {
-                TableState::Ready(table) => return TableWait::Ready(Arc::clone(table)),
-                TableState::Abandoned => return TableWait::Abandoned,
-                TableState::Pending => {}
-            }
-            match cancel {
-                Some(token) => {
-                    if let Some(kind) = token.cancel_kind() {
-                        return TableWait::Cancelled(kind);
-                    }
-                    // Bounded sleep so the token is re-polled even if no
-                    // notify arrives.
-                    state = self
-                        .cv
-                        .wait_timeout(state, Duration::from_millis(20))
-                        .expect("table slot poisoned")
-                        .0;
-                }
-                None => state = self.cv.wait(state).expect("table slot poisoned"),
-            }
-        }
-    }
-
-    fn publish(&self, table: &Arc<PatternTable>) {
-        *self.state.lock().expect("table slot poisoned") = TableState::Ready(Arc::clone(table));
-        self.cv.notify_all();
-    }
-
-    fn abandon(&self) {
-        *self.state.lock().expect("table slot poisoned") = TableState::Abandoned;
-        self.cv.notify_all();
-    }
-}
-
 /// A **process-wide**, single-flight pattern-table cache shared across
 /// sessions.
 ///
@@ -224,36 +151,21 @@ impl TableSlot {
 /// threads, so the expensive artifact — the §5.1 [`PatternTable`] — must
 /// be shared wider. Entries are keyed exactly like the session cache
 /// (capacity, span, worker policy) plus the graph's
-/// [`content_hash`](mps_dfg::Dfg::content_hash), and population is
-/// **single-flight**: when N sessions race on one key, one builds and
-/// N−1 block until the table is published, so a burst of identical
-/// requests costs one enumeration ([`Session::metrics`] shows one
-/// `table_builds` total across them; the property is pinned by the
-/// serving integration tests). A build that is cancelled or panics
-/// *abandons* its slot — the entry is removed, waiters wake and one of
-/// them re-claims — so a failed first flight never poisons the key.
+/// [`content_hash`](mps_dfg::Dfg::content_hash). The mechanism is a
+/// one-shard [`mps_par::SingleFlight`]: when N sessions race on one key,
+/// one builds and N−1 wait, so a burst of identical requests records one
+/// `table_builds` among them ([`Session::metrics`]); a build that is
+/// cancelled or panics abandons its slot and a waiter re-claims; and the
+/// optional budgets evict least-recently-used *ready* tables (bytes per
+/// [`crate::size::approx_table_bytes`]), never in-flight builds, while
+/// sessions already holding an `Arc` keep their table.
 ///
 /// Create with [`TableCache::new`] (unbounded) or
 /// [`TableCache::with_budget`], and hand an `Arc` of it to
-/// [`Session::with_shared_tables`]. Budgets apply to *ready* tables:
-/// when an admission pushes the cache over its entry or byte budget
-/// (bytes per [`crate::size::approx_table_bytes`]), least-recently-used
-/// ready tables are evicted until it fits — in-flight builds are never
-/// evicted, and sessions already holding an `Arc` keep their table.
-#[derive(Debug, Default)]
+/// [`Session::with_shared_tables`].
+#[derive(Debug)]
 pub struct TableCache {
-    /// Linear-scan entry list, like the session-local cache: the key
-    /// space is (graphs × a handful of policies), and lookups happen once
-    /// per enumerate stage, not in any inner loop.
-    entries: Mutex<Vec<CacheEntry>>,
-    /// Max *ready* entries, `None` = unbounded.
-    max_entries: Option<usize>,
-    /// Max total approximate bytes across ready entries, `None` = unbounded.
-    max_bytes: Option<usize>,
-    /// Monotone LRU clock; entries stamp themselves on every touch.
-    clock: AtomicU64,
-    /// Ready tables evicted to stay within budget, ever.
-    evictions: AtomicU64,
+    tables: SingleFlight<(u64, TableKey), Arc<PatternTable>>,
     /// Post-publish hook for freshly built tables (persistence).
     hook: BuildHookSlot,
 }
@@ -265,7 +177,7 @@ pub struct TableCache {
 pub type TableBuildHook = Arc<dyn Fn(u64, TableKey, &Arc<PatternTable>) + Send + Sync>;
 
 /// The hook storage, newtyped so [`TableCache`] keeps its derived
-/// `Debug`/`Default` despite holding a closure.
+/// `Debug` despite holding a closure.
 #[derive(Default)]
 struct BuildHookSlot(Mutex<Option<TableBuildHook>>);
 
@@ -276,67 +188,45 @@ impl fmt::Debug for BuildHookSlot {
     }
 }
 
-/// One cached table keyed by (graph content hash, table policy key).
-#[derive(Debug)]
-struct CacheEntry {
-    key: (u64, TableKey),
-    slot: Arc<TableSlot>,
-    /// Approximate size; `0` while the build is in flight.
-    bytes: usize,
-    /// LRU clock value at the last hit or admission.
-    stamp: u64,
-    /// Whether the slot holds a ready table (only ready entries count
-    /// toward budgets or are evictable).
-    ready: bool,
-}
-
-/// Removes the claimed entry and wakes waiters if the build never
-/// publishes — the drop path is what runs when `build` panics, which is
-/// exactly when a pending slot would otherwise deadlock every waiter.
-struct AbandonOnDrop<'a> {
-    cache: &'a TableCache,
-    key: (u64, TableKey),
-    armed: bool,
-}
-
-impl Drop for AbandonOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon(self.key);
-        }
+impl Default for TableCache {
+    fn default() -> TableCache {
+        TableCache::new()
     }
 }
 
 impl TableCache {
     /// An empty, unbounded cache.
     pub fn new() -> TableCache {
-        TableCache::default()
+        TableCache::with_budget(None, None)
     }
 
     /// An empty cache with eviction budgets: at most `max_entries` ready
     /// tables and/or `max_bytes` total approximate bytes (`None` =
     /// unbounded in that dimension).
     pub fn with_budget(max_entries: Option<usize>, max_bytes: Option<usize>) -> TableCache {
-        TableCache {
+        let budget = CacheBudget {
             max_entries,
             max_bytes,
-            ..TableCache::default()
+        };
+        TableCache {
+            tables: SingleFlight::new(1, budget, |table| crate::size::approx_table_bytes(table)),
+            hook: BuildHookSlot::default(),
         }
     }
 
     /// Number of tables (and in-flight builds) currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("table cache poisoned").len()
+        self.tables.len()
     }
 
     /// `true` if nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tables.is_empty()
     }
 
     /// Ready tables evicted to stay within budget since construction.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.tables.evictions()
     }
 
     /// Install (or replace) the post-build hook. The serving layer uses
@@ -353,23 +243,7 @@ impl TableCache {
     /// the same budget/LRU discipline as a built table. Returns `true`
     /// if the table was inserted.
     pub fn seed(&self, graph: u64, key: TableKey, table: Arc<PatternTable>) -> bool {
-        let bytes = crate::size::approx_table_bytes(&table);
-        let slot = Arc::new(TableSlot::default());
-        slot.publish(&table);
-        let mut entries = self.entries.lock().expect("table cache poisoned");
-        if entries.iter().any(|e| e.key == (graph, key)) {
-            return false;
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        entries.push(CacheEntry {
-            key: (graph, key),
-            slot,
-            bytes,
-            stamp,
-            ready: true,
-        });
-        self.enforce_budget(&mut entries);
-        true
+        self.tables.seed((graph, key), table)
     }
 
     /// Fetch the table for `(graph, key)`, building it with `build` if
@@ -389,118 +263,20 @@ impl TableCache {
         cancel: Option<&CancelToken>,
         build: impl FnOnce() -> Result<PatternTable, MpsError>,
     ) -> Result<(Arc<PatternTable>, bool), MpsError> {
-        // `build` runs at most once per call: the claiming arm consumes
-        // it and always returns; the waiting arm only loops back to
-        // claim after an abandonment.
-        let mut build = Some(build);
-        loop {
-            let (slot, claimed) = {
-                let mut entries = self.entries.lock().expect("table cache poisoned");
-                let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                match entries.iter_mut().find(|e| e.key == (graph, key)) {
-                    Some(entry) => {
-                        entry.stamp = stamp;
-                        (Arc::clone(&entry.slot), false)
-                    }
-                    None => {
-                        let slot = Arc::new(TableSlot::default());
-                        entries.push(CacheEntry {
-                            key: (graph, key),
-                            slot: Arc::clone(&slot),
-                            bytes: 0,
-                            stamp,
-                            ready: false,
-                        });
-                        (slot, true)
-                    }
-                }
-            };
-            if !claimed {
-                // Wait outside the entries lock so other keys stay available.
-                match slot.wait(cancel) {
-                    TableWait::Ready(table) => return Ok((table, false)),
-                    TableWait::Abandoned => continue,
-                    TableWait::Cancelled(kind) => {
-                        return Err(MpsError::from_cancel(kind, Stage::Enumerate))
-                    }
-                }
+        let (table, hit) = self
+            .tables
+            .get_or_compute((graph, key), cancel, || build().map(Arc::new))
+            .map_err(|e| match e {
+                FlightError::Failed(e) => e,
+                FlightError::Cancelled(kind) => MpsError::from_cancel(kind, Stage::Enumerate),
+            })?;
+        if !hit {
+            let hook = self.hook.0.lock().expect("table hook poisoned").clone();
+            if let Some(hook) = hook {
+                hook(graph, key, &table);
             }
-            // Build outside the entries lock: other keys stay available,
-            // and same-key sessions wait on the slot, not the whole cache.
-            let mut guard = AbandonOnDrop {
-                cache: self,
-                key: (graph, key),
-                armed: true,
-            };
-            let built = (build.take().expect("claim happens at most once"))();
-            return match built {
-                Ok(table) => {
-                    let table = Arc::new(table);
-                    guard.armed = false;
-                    slot.publish(&table);
-                    self.admit(graph, key, crate::size::approx_table_bytes(&table));
-                    let hook = self.hook.0.lock().expect("table hook poisoned").clone();
-                    if let Some(hook) = hook {
-                        hook(graph, key, &table);
-                    }
-                    Ok((table, true))
-                }
-                // The guard abandons on drop; waiters retry-claim.
-                Err(e) => Err(e),
-            };
         }
-    }
-
-    /// Remove a pending entry whose build died and wake its waiters.
-    fn abandon(&self, key: (u64, TableKey)) {
-        let slot = {
-            let mut entries = self.entries.lock().expect("table cache poisoned");
-            match entries.iter().position(|e| e.key == key && !e.ready) {
-                Some(i) => entries.remove(i).slot,
-                None => return,
-            }
-        };
-        slot.abandon();
-    }
-
-    /// Mark a freshly published entry ready and enforce the budgets.
-    fn admit(&self, graph: u64, key: TableKey, bytes: usize) {
-        let mut entries = self.entries.lock().expect("table cache poisoned");
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = entries.iter_mut().find(|e| e.key == (graph, key)) {
-            entry.ready = true;
-            entry.bytes = bytes;
-            entry.stamp = stamp;
-        }
-        self.enforce_budget(&mut entries);
-    }
-
-    /// Evict least-recently-used ready entries until the budgets hold.
-    fn enforce_budget(&self, entries: &mut Vec<CacheEntry>) {
-        loop {
-            let ready_count = entries.iter().filter(|e| e.ready).count();
-            let ready_bytes: usize = entries.iter().filter(|e| e.ready).map(|e| e.bytes).sum();
-            let over = self.max_entries.is_some_and(|m| ready_count > m)
-                || self.max_bytes.is_some_and(|m| ready_bytes > m);
-            if !over {
-                break;
-            }
-            // Evict the least-recently-used ready table. The entry just
-            // admitted carries the freshest stamp, so it goes last — and
-            // if it alone busts the byte budget it is evicted too;
-            // holders of its `Arc` are unaffected.
-            let Some(idx) = entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.ready)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            entries.remove(idx);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        Ok((table, !hit))
     }
 }
 
@@ -1312,6 +1088,7 @@ mod tests {
     use super::*;
     use mps_select::{select_and_schedule, PipelineConfig};
     use mps_workloads::{fig2, fig4};
+    use std::time::Duration;
 
     #[test]
     fn staged_chain_matches_one_shot_pipeline() {

@@ -30,7 +30,10 @@
 //! * [`CancelToken`] — a cooperative stop flag with an optional deadline,
 //!   polled by [`par_fold_irregular_cancel_in`]'s claim loops so a
 //!   cancelled enumeration stops claiming work instead of running to
-//!   completion.
+//!   completion,
+//! * [`SingleFlight`] — a sharded single-flight map with LRU entry/byte
+//!   budgets, the one mechanism behind both of the serving stack's cache
+//!   tiers (pattern tables and whole compiles).
 //!
 //! All entry points fall back to straight sequential execution when the input
 //! is small or only one hardware thread is available, so callers never pay
@@ -55,9 +58,11 @@ mod cancel;
 mod chunk;
 #[allow(unsafe_code)] // isolated disjoint-chunk writes; see module docs
 mod fill;
+mod flight;
 mod queue;
 pub use cancel::{CancelKind, CancelToken};
 pub use chunk::chunk_ranges;
+pub use flight::{CacheBudget, FlightError, SingleFlight};
 pub use queue::{BoundedQueue, PushError};
 
 /// Inputs shorter than this are always processed sequentially. Two is the

@@ -1,15 +1,16 @@
-//! The sharded, single-flight artifact cache: compile results keyed by
+//! The artifact cache: whole compile results keyed by
 //! `(graph content hash, config content hash)`.
 //!
 //! This is the serving layer's second cache tier, above the process-wide
 //! [`mps::TableCache`]: the table cache deduplicates the expensive
 //! *enumeration* across configs that share a table, this one
 //! deduplicates *whole compiles* of identical requests — a hot request
-//! costs one hash lookup. Keys shard across independent locks so worker
-//! threads on different artifacts never contend, and population is
-//! single-flight like the table tier: N racing identical requests run
-//! one compile, N−1 block on the slot's condvar, and the whole burst
-//! records one `table_builds`.
+//! costs one hash lookup. Both tiers are instances of one mechanism,
+//! [`mps::par::SingleFlight`]: keys shard across independent locks,
+//! population is single-flight (N racing identical requests run one
+//! compile and the whole burst records one `table_builds`), a compute
+//! that panics abandons its slot so waiters re-claim, and optional
+//! [`CacheBudget`]s evict least-recently-used published outcomes.
 //!
 //! Failed compiles are cached too: the pipeline is deterministic, so an
 //! input that failed once fails identically forever, and re-running it
@@ -18,28 +19,12 @@
 //! that died on one request's deadline says nothing about the next
 //! request, so those abandon the slot instead of publishing, and any
 //! waiters re-claim with their own budgets.
-//!
-//! Three overload-proofing mechanisms round out the tier:
-//!
-//! - **Abandonment**: a compute that panics or returns a transient
-//!   error abandons its slot (via a drop guard, so panics can't leak a
-//!   pending slot). Waiters wake, observe the abandonment, and retry
-//!   the claim — nobody blocks forever on a corpse.
-//! - **Budgets**: optional entry and byte caps ([`CacheBudget`]) over
-//!   the *published* outcomes, enforced by least-recently-used
-//!   eviction at admission. In-flight computes are never evicted, and
-//!   eviction only unmaps the key — requests already holding the `Arc`
-//!   keep their result.
-//! - **Deadline waits**: a waiter passes its request deadline to
-//!   [`ArtifactCache::get_or_compute`]; if the in-flight compute
-//!   outlives it, the wait returns [`WaitTimedOut`] instead of
-//!   blocking past the point where the reply could matter.
 
-use mps::{CompileResult, MpsError};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use mps::par::{FlightError, SingleFlight};
+use mps::{CancelToken, CompileResult, MpsError};
+use std::sync::Arc;
+
+pub use mps::par::CacheBudget;
 
 /// What one compile produced (results are shared, errors cloned).
 pub type Outcome = Result<Arc<CompileResult>, MpsError>;
@@ -59,118 +44,11 @@ const ERR_OUTCOME_BYTES: usize = 256;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaitTimedOut;
 
-/// Optional entry/byte caps on published outcomes (`None` = unbounded).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheBudget {
-    /// Maximum published outcomes resident at once.
-    pub max_entries: Option<usize>,
-    /// Maximum total [`mps::approx_result_bytes`] resident at once.
-    pub max_bytes: Option<usize>,
-}
-
-/// Where one in-flight-or-done artifact stands.
-#[derive(Debug, Default)]
-enum SlotState {
-    /// A claimant is computing; waiters block on the condvar.
-    #[default]
-    Pending,
-    /// The outcome is published and cacheable.
-    Ready(Outcome),
-    /// The claimant panicked or hit a transient error; waiters must
-    /// re-claim. The slot is already unmapped from its shard.
-    Abandoned,
-}
-
-/// One single-flight slot, same shape as the table-cache slots in
-/// `mps::session` but with deadline-aware waits.
-#[derive(Debug, Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-/// What a waiter observed.
-enum SlotWait {
-    Ready(Outcome),
-    Abandoned,
-    TimedOut,
-}
-
-impl Slot {
-    fn wait(&self, deadline: Option<Instant>) -> SlotWait {
-        let mut state = self.state.lock().expect("artifact slot poisoned");
-        loop {
-            match &*state {
-                SlotState::Ready(outcome) => return SlotWait::Ready(outcome.clone()),
-                SlotState::Abandoned => return SlotWait::Abandoned,
-                SlotState::Pending => {}
-            }
-            state = match deadline {
-                None => self.cv.wait(state).expect("artifact slot poisoned"),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return SlotWait::TimedOut;
-                    }
-                    self.cv
-                        .wait_timeout(state, d - now)
-                        .expect("artifact slot poisoned")
-                        .0
-                }
-            };
-        }
-    }
-
-    fn publish(&self, outcome: &Outcome) {
-        *self.state.lock().expect("artifact slot poisoned") = SlotState::Ready(outcome.clone());
-        self.cv.notify_all();
-    }
-
-    fn abandon(&self) {
-        *self.state.lock().expect("artifact slot poisoned") = SlotState::Abandoned;
-        self.cv.notify_all();
-    }
-}
-
-/// LRU bookkeeping for one published outcome.
-#[derive(Debug)]
-struct AcctEntry {
-    key: Key,
-    bytes: usize,
-    stamp: u64,
-}
-
-/// Unmaps and abandons a claimed slot unless disarmed — the safety net
-/// that keeps a panicking compute from wedging its waiters forever.
-struct AbandonGuard<'a> {
-    cache: &'a ArtifactCache,
-    key: Key,
-    slot: &'a Arc<Slot>,
-    armed: bool,
-}
-
-impl Drop for AbandonGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon_slot(self.key, self.slot);
-        }
-    }
-}
-
 /// A sharded, single-flight map from [`Key`] to compile [`Outcome`],
-/// with hit/miss/eviction counters and optional budgets.
+/// with hit/miss/eviction counters and optional budgets (charged in
+/// [`mps::approx_result_bytes`] units).
 #[derive(Debug)]
-pub struct ArtifactCache {
-    shards: Vec<Mutex<HashMap<Key, Arc<Slot>>>>,
-    /// Published outcomes only, for budget enforcement. Lock order:
-    /// `acct` may take a shard lock (eviction); never the reverse.
-    acct: Mutex<Vec<AcctEntry>>,
-    budget: CacheBudget,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub struct ArtifactCache(SingleFlight<Key, Outcome>);
 
 impl ArtifactCache {
     /// An unbounded cache with `shards` independent lock domains
@@ -181,28 +59,7 @@ impl ArtifactCache {
 
     /// A cache with `shards` lock domains and the given caps.
     pub fn with_budget(shards: usize, budget: CacheBudget) -> ArtifactCache {
-        ArtifactCache {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            acct: Mutex::new(Vec::new()),
-            budget,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: Key) -> &Mutex<HashMap<Key, Arc<Slot>>> {
-        // The halves are already FNV hashes; folding them is plenty to
-        // spread shards.
-        let mix = key.0 ^ key.1.rotate_left(32);
-        &self.shards[(mix % self.shards.len() as u64) as usize]
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        ArtifactCache(SingleFlight::new(shards, budget, approx_outcome_bytes))
     }
 
     /// Fetch the outcome for `key`, running `compute` if no published or
@@ -210,86 +67,42 @@ impl ArtifactCache {
     /// a cache hit (`true` = this call did not run `compute`; a hit may
     /// still block briefly on another request's in-flight compute).
     ///
-    /// `deadline` bounds only the *wait* on someone else's compute —
-    /// a call that claims the slot runs `compute` to completion (the
-    /// compute itself is expected to watch the same deadline via its
-    /// [`mps::CancelToken`]). `Err(WaitTimedOut)` counts neither a hit
-    /// nor a miss: the call neither computed nor was served.
+    /// `cancel` is the request's token and bounds only the *wait* on
+    /// someone else's compute — a call that claims the slot runs
+    /// `compute` to completion (the compute itself is expected to watch
+    /// the same token). `Err(WaitTimedOut)` counts neither a hit nor a
+    /// miss: the call neither computed nor was served.
     pub fn get_or_compute(
         &self,
         key: Key,
-        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
         compute: impl FnOnce() -> Outcome,
     ) -> Result<(Outcome, bool), WaitTimedOut> {
-        // `compute` is FnOnce but the claim can need retries after an
-        // abandonment; the take() proves each call runs it at most once.
-        let mut compute = Some(compute);
-        loop {
-            let (slot, claimed) = {
-                let mut shard = self.shard(key).lock().expect("artifact shard poisoned");
-                match shard.get(&key) {
-                    Some(slot) => (Arc::clone(slot), false),
-                    None => {
-                        let slot = Arc::new(Slot::default());
-                        shard.insert(key, Arc::clone(&slot));
-                        (slot, true)
-                    }
-                }
-            };
-            if !claimed {
-                match slot.wait(deadline) {
-                    SlotWait::Ready(outcome) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.touch(key);
-                        return Ok((outcome, true));
-                    }
-                    SlotWait::Abandoned => continue,
-                    SlotWait::TimedOut => return Err(WaitTimedOut),
-                }
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let mut guard = AbandonGuard {
-                cache: self,
-                key,
-                slot: &slot,
-                armed: true,
-            };
-            let outcome = (compute.take().expect("claim happens at most once"))();
-            match &outcome {
-                // Transient outcomes reflect this request's budget, not
-                // the program: abandon so the next request recomputes.
-                Err(e) if e.is_transient() => drop(guard),
-                _ => {
-                    guard.armed = false;
-                    slot.publish(&outcome);
-                    self.admit(key, approx_outcome_bytes(&outcome));
-                }
-            }
-            return Ok((outcome, false));
+        // Transient outcomes reflect this request's budget, not the
+        // program: failing the flight abandons the slot so the next
+        // request recomputes. Every other outcome, errors included, is
+        // published.
+        let fetched = self.0.get_or_compute(key, cancel, || match compute() {
+            Err(e) if e.is_transient() => Err(e),
+            outcome => Ok(outcome),
+        });
+        match fetched {
+            Ok(pair) => Ok(pair),
+            Err(FlightError::Failed(e)) => Ok((Err(e), false)),
+            Err(FlightError::Cancelled(_)) => Err(WaitTimedOut),
         }
     }
 
     /// Insert an already-computed outcome — the boot-time warm-start
-    /// path, fed from [`mps::artifact::ArtifactStore::load_results`].
-    /// An existing slot (published *or* in-flight) wins and the seed is
-    /// dropped, so seeding can never clobber live serving state; an
-    /// inserted seed is admitted through the same budget/LRU discipline
-    /// as a computed outcome (and may evict, or be the eviction victim,
-    /// accordingly). Returns `true` if the outcome was inserted. Counts
+    /// path, fed from [`mps::artifact::ArtifactStore::load_results`], and
+    /// the landing point of a peer's `artifact_put`. An existing slot
+    /// (published *or* in-flight) wins and the seed is dropped, so
+    /// seeding can never clobber live serving state; an inserted seed is
+    /// admitted through the same budget/LRU discipline as a computed
+    /// outcome. Returns `true` if the outcome was inserted. Counts
     /// neither a hit nor a miss: no request was served.
     pub fn seed(&self, key: Key, outcome: Outcome) -> bool {
-        let slot = {
-            let mut shard = self.shard(key).lock().expect("artifact shard poisoned");
-            if shard.contains_key(&key) {
-                return false;
-            }
-            let slot = Arc::new(Slot::default());
-            shard.insert(key, Arc::clone(&slot));
-            slot
-        };
-        slot.publish(&outcome);
-        self.admit(key, approx_outcome_bytes(&outcome));
-        true
+        self.0.seed(key, outcome)
     }
 
     /// Non-blocking peek: the published *successful* result for `key`,
@@ -297,108 +110,33 @@ impl ArtifactCache {
     /// keys all answer `None`; the LRU stamp is not refreshed (peeks are
     /// bookkeeping — peer handoff, `artifact_get` — not serving traffic).
     pub fn peek(&self, key: Key) -> Option<Arc<CompileResult>> {
-        let slot = {
-            let shard = self.shard(key).lock().expect("artifact shard poisoned");
-            Arc::clone(shard.get(&key)?)
-        };
-        let state = slot.state.lock().expect("artifact slot poisoned");
-        match &*state {
-            SlotState::Ready(Ok(result)) => Some(Arc::clone(result)),
-            _ => None,
-        }
-    }
-
-    /// Unmap `slot` (if it is still the mapped one) and wake its
-    /// waiters into a retry.
-    fn abandon_slot(&self, key: Key, slot: &Arc<Slot>) {
-        {
-            let mut shard = self.shard(key).lock().expect("artifact shard poisoned");
-            if shard.get(&key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
-                shard.remove(&key);
-            }
-        }
-        slot.abandon();
-    }
-
-    /// Record a published outcome and evict least-recently-used entries
-    /// until the budget holds again. The just-admitted entry carries
-    /// the freshest stamp, so it is evicted last — though a single
-    /// outcome larger than the whole byte budget does evict itself
-    /// (requests already holding the `Arc` are unaffected).
-    fn admit(&self, key: Key, bytes: usize) {
-        let mut acct = self.acct.lock().expect("artifact acct poisoned");
-        let stamp = self.tick();
-        acct.push(AcctEntry { key, bytes, stamp });
-        loop {
-            let over_entries = self.budget.max_entries.is_some_and(|max| acct.len() > max);
-            let over_bytes = self
-                .budget
-                .max_bytes
-                .is_some_and(|max| acct.iter().map(|e| e.bytes).sum::<usize>() > max);
-            if !over_entries && !over_bytes {
-                return;
-            }
-            let victim = acct
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("over budget implies a resident entry");
-            let victim = acct.swap_remove(victim);
-            self.shard(victim.key)
-                .lock()
-                .expect("artifact shard poisoned")
-                .remove(&victim.key);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Refresh `key`'s LRU stamp (no-op if it was already evicted).
-    fn touch(&self, key: Key) {
-        let mut acct = self.acct.lock().expect("artifact acct poisoned");
-        let stamp = self.tick();
-        if let Some(entry) = acct.iter_mut().find(|e| e.key == key) {
-            entry.stamp = stamp;
-        }
+        self.0.peek(key)?.ok()
     }
 
     /// Requests answered from the cache (including waits on in-flight
     /// computes).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.0.hits()
     }
 
     /// Requests that ran the compute.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.0.misses()
     }
 
     /// Published outcomes pushed out by the budget since startup.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Total charged bytes of the published outcomes currently held.
-    pub fn resident_bytes(&self) -> usize {
-        self.acct
-            .lock()
-            .expect("artifact acct poisoned")
-            .iter()
-            .map(|e| e.bytes)
-            .sum()
+        self.0.evictions()
     }
 
     /// Distinct artifacts (including in-flight ones) currently held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("artifact shard poisoned").len())
-            .sum()
+        self.0.len()
     }
 
     /// `true` when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 }
 
@@ -446,26 +184,6 @@ mod tests {
             .get_or_compute((9, 9), None, || panic!("must not recompute"))
             .unwrap();
         assert!(a.is_err() && b.is_err() && hit);
-    }
-
-    #[test]
-    fn racing_identical_requests_compute_once() {
-        let cache = Arc::new(ArtifactCache::new(8));
-        let computes = Arc::new(AtomicU64::new(0));
-        let outcomes = mps::par::par_map_in(4, &[(); 8], |_| {
-            let (outcome, hit) = cache
-                .get_or_compute((5, 5), None, || {
-                    computes.fetch_add(1, Ordering::SeqCst);
-                    compile_fig4()
-                })
-                .unwrap();
-            (outcome.unwrap().cycles, hit)
-        });
-        assert_eq!(computes.load(Ordering::SeqCst), 1, "single-flight");
-        assert_eq!(outcomes.iter().filter(|(_, hit)| !hit).count(), 1);
-        assert!(outcomes.iter().all(|(c, _)| *c == outcomes[0].0));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 7);
     }
 
     #[test]
@@ -539,8 +257,8 @@ mod tests {
                 })
             };
             barrier.wait();
-            let deadline = Some(Instant::now() + Duration::from_millis(5));
-            let timed_out = cache.get_or_compute((3, 3), deadline, || {
+            let token = CancelToken::with_deadline(Duration::from_millis(5));
+            let timed_out = cache.get_or_compute((3, 3), Some(&token), || {
                 panic!("the slot is claimed; the waiter must not compute")
             });
             assert!(matches!(timed_out, Err(WaitTimedOut)));
@@ -554,79 +272,5 @@ mod tests {
             .get_or_compute((3, 3), None, || panic!("published — must not recompute"))
             .unwrap();
         assert!(hit);
-    }
-
-    #[test]
-    fn entry_budget_evicts_least_recently_used() {
-        let cache = ArtifactCache::with_budget(
-            4,
-            CacheBudget {
-                max_entries: Some(2),
-                max_bytes: None,
-            },
-        );
-        let (_, _) = cache.get_or_compute((1, 1), None, compile_fig4).unwrap();
-        let (_, _) = cache.get_or_compute((2, 2), None, compile_fig4).unwrap();
-        // Touch (1,1) so (2,2) becomes the LRU victim.
-        let (_, hit) = cache
-            .get_or_compute((1, 1), None, || panic!("cached"))
-            .unwrap();
-        assert!(hit);
-        let (_, _) = cache.get_or_compute((3, 3), None, compile_fig4).unwrap();
-        assert_eq!((cache.len(), cache.evictions()), (2, 1));
-        // The touched key survived the eviction; the stale one did not
-        // (and recomputing it evicts again — the budget always holds).
-        let (_, hit) = cache
-            .get_or_compute((1, 1), None, || panic!("cached"))
-            .unwrap();
-        assert!(hit, "(1,1) was touched and must survive");
-        let (_, hit) = cache.get_or_compute((2, 2), None, compile_fig4).unwrap();
-        assert!(!hit, "(2,2) was evicted as least recently used");
-        assert_eq!((cache.len(), cache.evictions()), (2, 2));
-    }
-
-    #[test]
-    fn seeding_warm_starts_without_clobbering_or_busting_budgets() {
-        let cache = ArtifactCache::with_budget(
-            2,
-            CacheBudget {
-                max_entries: Some(2),
-                max_bytes: None,
-            },
-        );
-        let seed = compile_fig4();
-        assert!(cache.seed((1, 1), seed.clone()));
-        // A seeded key serves without recomputing and counts as a hit.
-        let (outcome, hit) = cache
-            .get_or_compute((1, 1), None, || panic!("seeded — must not recompute"))
-            .unwrap();
-        assert!(hit && outcome.is_ok());
-        // Seeding an occupied key is refused, live state wins.
-        assert!(!cache.seed((1, 1), compile_fig4()));
-        // Seeds are budget-admitted like computed outcomes: the third
-        // seed evicts the least recently used entry.
-        assert!(cache.seed((2, 2), compile_fig4()));
-        assert!(cache.seed((3, 3), compile_fig4()));
-        assert_eq!((cache.len(), cache.evictions()), (2, 1));
-        // Neither seeding nor refusal counted requests.
-        assert_eq!((cache.hits(), cache.misses()), (1, 0));
-    }
-
-    #[test]
-    fn byte_budget_bounds_resident_bytes() {
-        let one_result = approx_outcome_bytes(&compile_fig4());
-        // Room for one fig4 result but not two.
-        let cache = ArtifactCache::with_budget(
-            2,
-            CacheBudget {
-                max_entries: None,
-                max_bytes: Some(one_result + one_result / 2),
-            },
-        );
-        let (_, _) = cache.get_or_compute((1, 1), None, compile_fig4).unwrap();
-        assert_eq!(cache.resident_bytes(), one_result);
-        let (_, _) = cache.get_or_compute((2, 2), None, compile_fig4).unwrap();
-        assert_eq!((cache.len(), cache.evictions()), (1, 1));
-        assert!(cache.resident_bytes() <= one_result + one_result / 2);
     }
 }

@@ -14,11 +14,13 @@
 //!   underneath: different configs over one graph share the expensive
 //!   §5.1 enumeration.
 //!
-//! Both tiers are single-flight, so a burst of identical requests runs
-//! one compile — and both are overload-proof: optional entry/byte
-//! budgets with LRU eviction, abandonment (a panicked or cancelled
-//! compute wakes its waiters instead of wedging them), and no caching
-//! of transient (deadline/cancel) outcomes. Requests may carry a
+//! Both tiers are instances of one mechanism, [`mps::par::SingleFlight`],
+//! so both are single-flight (a burst of identical requests runs one
+//! compile) and both are overload-proof the same way: optional
+//! entry/byte budgets with LRU eviction, abandonment (a panicked or
+//! cancelled compute wakes its waiters instead of wedging them), and
+//! waits bounded by the waiter's own [`mps::CancelToken`]. Transient
+//! (deadline/cancel) outcomes are never cached. Requests may carry a
 //! `deadline_ms`; a full admission queue **sheds** with a structured
 //! `overloaded` reply and retry hint rather than blocking, and a
 //! [`FaultPlan`] can inject stage delays/failures, dropped replies and

@@ -3,10 +3,11 @@
 //!
 //! One [`Server`] owns all serving state behind an `Arc`:
 //!
-//! * an [`ArtifactCache`] (whole compiles, sharded, single-flight,
-//!   optionally budgeted with LRU eviction),
+//! * an [`ArtifactCache`] (whole compiles, sharded),
 //! * a process-wide [`mps::TableCache`] underneath it (pattern tables
-//!   shared across *different* configs of one graph, same budgeting),
+//!   shared across *different* configs of one graph) — both tiers are
+//!   instances of [`mps::par::SingleFlight`]: single-flight, optionally
+//!   budgeted with LRU eviction,
 //! * a [`BoundedQueue`] admitting compile requests — a full queue
 //!   **sheds** (structured `overloaded` reply with a retry hint)
 //!   instead of blocking the connection thread, so overload degrades
@@ -19,13 +20,13 @@
 //!
 //! Requests may carry a `deadline_ms`; the server refuses them at
 //! admission once expired, drops them from the dispatch batch if they
-//! expired in the queue, bounds waits on identical in-flight compiles,
-//! and cancels the pipeline itself at stage boundaries via
-//! [`mps::CancelToken`]. Connection hygiene is enforced per connection:
-//! request lines over `max_line_bytes` are refused, a client stalled
-//! mid-line is disconnected after `read_timeout_ms`, and at most
-//! `max_conns` connections are served at once (excess connections get
-//! one `overloaded` line and are closed). A [`FaultPlan`] can inject
+//! expired in the queue, and otherwise builds one [`mps::CancelToken`]
+//! that bounds the wait on an identical in-flight compile and cancels
+//! the pipeline itself at stage boundaries. Connection hygiene is
+//! enforced per connection: request lines over `max_line_bytes` are
+//! refused, a client stalled mid-line is disconnected after
+//! `read_timeout_ms`, and at most `max_conns` connections are served at
+//! once (excess connections get one `overloaded` line and are closed). A [`FaultPlan`] can inject
 //! stage delays/failures, reply drops and slow reads for chaos tests.
 //!
 //! Control verbs (`stats`, `ping`, `peers`, `shutdown`) are answered
@@ -807,10 +808,13 @@ impl State {
         };
         let engine = cfg.engine.name().to_string();
         let key = (dfg.content_hash(), cfg.content_hash());
-        let fetched = self.artifacts.get_or_compute(key, deadline, || {
+        // One token bounds both the wait on an identical in-flight
+        // compile and, if this request claims the key, its own pipeline.
+        let cancel = deadline.map(CancelToken::deadline_at);
+        let fetched = self.artifacts.get_or_compute(key, cancel.as_ref(), || {
             let mut session = Session::with_shared_tables(dfg, cfg, Arc::clone(&self.tables));
-            if let Some(d) = deadline {
-                session.set_cancel_token(CancelToken::deadline_at(d));
+            if let Some(token) = &cancel {
+                session.set_cancel_token(token.clone());
             }
             if let Some(probe) = &self.probe {
                 session.set_stage_probe(probe.clone());
@@ -1707,6 +1711,70 @@ mod tests {
             Reply::from_line(&reply).unwrap(),
             Reply::Compile(r) if !r.cached
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `depth` nested JSON arrays: a 16 KB line at 8,000, far under the
+    /// line cap, that used to overflow the parser's stack.
+    fn deep_nesting(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn deep_nesting_gets_one_protocol_error_and_the_server_stays_up() {
+        let server = Server::new(one_worker());
+        let (reply, quit) = server.handle_line(&deep_nesting(8_000));
+        assert!(!quit);
+        let Reply::Error(e) = Reply::from_line(&reply).unwrap() else {
+            panic!("expected a protocol error: {reply}");
+        };
+        assert!(e.error.contains("nesting deeper"), "{}", e.error);
+        let (reply, _) = server.handle_line(r#"{"op":"ping"}"#);
+        assert!(matches!(Reply::from_line(&reply).unwrap(), Reply::Pong(_)));
+
+        // Over stdio, far deeper still: one reply per request line.
+        let input = format!("{}\n{{\"op\":\"ping\"}}\n", deep_nesting(200_000));
+        let mut out = Vec::new();
+        server.run_stdio(&mut input.as_bytes(), &mut out).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(matches!(
+            Reply::from_line(lines[0]).unwrap(),
+            Reply::Error(_)
+        ));
+        assert!(matches!(
+            Reply::from_line(lines[1]).unwrap(),
+            Reply::Pong(_)
+        ));
+    }
+
+    #[test]
+    fn deep_artifacts_are_rejected_from_disk_and_peers() {
+        let dir = scratch_dir("deep");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(format!("cr-{:016x}-{:016x}.json", 1u64, 2u64)),
+            deep_nesting(8_000),
+        )
+        .unwrap();
+        let server = Server::new(ServeOptions {
+            cache_dir: Some(dir.clone()),
+            ..one_worker()
+        });
+        let stats = server.stats();
+        assert_eq!((stats.artifacts_loaded, stats.load_rejected), (0, 1));
+
+        let put = Request {
+            op: "artifact_put".to_string(),
+            artifact: Some(deep_nesting(8_000)),
+            ..Request::default()
+        };
+        let (reply, _) = server.handle_line(&put.to_line());
+        let Reply::Error(e) = Reply::from_line(&reply).unwrap() else {
+            panic!("a deep artifact_put must be refused: {reply}");
+        };
+        assert!(e.error.contains("nesting deeper"), "{}", e.error);
+        assert_eq!(server.stats().cached_artifacts, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
