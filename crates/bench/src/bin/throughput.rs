@@ -666,15 +666,18 @@ fn measure_warm_start() -> Vec<WarmStartRow> {
 
 /// One row of the fleet routing comparison: the same request measured
 /// through a real 2-daemon rendezvous ring, from the member that does
-/// *not* own the key. `forwarded_hit_sec` pays one extra loopback hop
+/// *not* own the key. Both hit paths are timed on open client
+/// connections: `forwarded_hit_sec` pays one extra loopback hop
 /// (non-owner → owner cache hit); `local_hit_sec` is the owner answering
-/// directly (the hop's baseline); `failover_recompute_sec` is the
+/// directly (the hop's baseline). `connect_sec` is a fresh client dial,
+/// kept apart so it cannot hide the hop. `failover_recompute_sec` is the
 /// non-owner surviving a dead owner — dial failure plus a full local
 /// compile, the price of the fault-tolerance path.
 struct FleetRow {
     workload: &'static str,
     forwarded_hit_sec: f64,
     local_hit_sec: f64,
+    connect_sec: f64,
     failover_recompute_sec: f64,
 }
 
@@ -745,8 +748,7 @@ fn measure_fleet() -> Vec<FleetRow> {
         };
         let non_owner = *members.iter().find(|m| **m != owner).expect("2 members");
 
-        let roundtrip = |addr: std::net::SocketAddr, expect_cached: bool| {
-            let mut client = connect(addr);
+        let roundtrip = |client: &mut Client, expect_cached: bool| {
             let t0 = Instant::now();
             let reply = client.request(&req).expect("fleet round trip");
             let sec = t0.elapsed().as_secs_f64();
@@ -760,20 +762,28 @@ fn measure_fleet() -> Vec<FleetRow> {
             sec
         };
 
-        // Warm the owner through the ring, then measure the two hit paths.
-        roundtrip(non_owner, false);
+        // Warm the owner through the ring, then measure the two hit
+        // paths on open connections and a fresh dial on its own.
+        let mut via_non_owner = connect(non_owner);
+        let mut via_owner = connect(owner);
+        roundtrip(&mut via_non_owner, false);
         let mut forwarded_hit_sec = f64::INFINITY;
         let mut local_hit_sec = f64::INFINITY;
+        let mut connect_sec = f64::INFINITY;
         for _ in 0..50 {
-            forwarded_hit_sec = forwarded_hit_sec.min(roundtrip(non_owner, true));
-            local_hit_sec = local_hit_sec.min(roundtrip(owner, true));
+            forwarded_hit_sec = forwarded_hit_sec.min(roundtrip(&mut via_non_owner, true));
+            local_hit_sec = local_hit_sec.min(roundtrip(&mut via_owner, true));
+            let t0 = Instant::now();
+            drop(connect(non_owner));
+            connect_sec = connect_sec.min(t0.elapsed().as_secs_f64());
         }
+        drop(via_owner);
 
         // Kill the owner: the next request through the non-owner pays a
         // refused dial plus a full local compile.
         connect(owner).shutdown().expect("owner shutdown ack");
-        let failover_recompute_sec = roundtrip(non_owner, false);
-        let stats = connect(non_owner).stats().expect("stats");
+        let failover_recompute_sec = roundtrip(&mut via_non_owner, false);
+        let stats = via_non_owner.stats().expect("stats");
         assert!(
             stats.peer_failovers >= 1,
             "{workload}: the dead owner must be survived by failover"
@@ -789,6 +799,7 @@ fn measure_fleet() -> Vec<FleetRow> {
             workload,
             forwarded_hit_sec,
             local_hit_sec,
+            connect_sec,
             failover_recompute_sec,
         });
     }
@@ -1130,9 +1141,10 @@ fn print_json(s: &Sections, pr: u32) {
     println!("  ],");
     println!(
         "  \"fleet_note\": \"one request through a 2-daemon rendezvous ring on loopback, \
-         measured client-side from the key's *non-owner*: forwarded_hit_sec = best-of-50 \
-         hop to the owner's artifact cache, local_hit_sec = best-of-50 asking the owner \
-         directly (the hop's baseline; their ratio is the forward overhead), \
+         measured client-side from the key's *non-owner*, both hit paths on open client \
+         connections: forwarded_hit_sec = best-of-50 hop to the owner's artifact cache, \
+         local_hit_sec = best-of-50 asking the owner directly (the hop's baseline; their \
+         ratio is the forward overhead), connect_sec = best-of-50 fresh client dial, \
          failover_recompute_sec = single-shot survival of a killed owner (refused dial + \
          full local compile — the price of the fault-tolerance path)\","
     );
@@ -1142,11 +1154,12 @@ fn print_json(s: &Sections, pr: u32) {
         println!(
             "    {{\"workload\": \"{}\", \"forwarded_hit_sec\": {:.9}, \
              \"local_hit_sec\": {:.9}, \"forward_overhead_vs_local\": {:.2}, \
-             \"failover_recompute_sec\": {:.6}}}{}",
+             \"connect_sec\": {:.9}, \"failover_recompute_sec\": {:.6}}}{}",
             r.workload,
             r.forwarded_hit_sec,
             r.local_hit_sec,
             r.forward_overhead(),
+            r.connect_sec,
             r.failover_recompute_sec,
             comma
         );
@@ -1329,16 +1342,17 @@ fn print_table(s: &Sections) {
     }
     println!();
     println!(
-        "{:<10} {:>16} {:>14} {:>10} {:>16}",
-        "fleet", "forwarded_hit", "local_hit", "overhead", "failover_sec"
+        "{:<10} {:>16} {:>14} {:>10} {:>14} {:>16}",
+        "fleet", "forwarded_hit", "local_hit", "overhead", "connect", "failover_sec"
     );
     for r in fleet {
         println!(
-            "{:<10} {:>16.9} {:>14.9} {:>9.2}x {:>16.6}",
+            "{:<10} {:>16.9} {:>14.9} {:>9.2}x {:>14.9} {:>16.6}",
             r.workload,
             r.forwarded_hit_sec,
             r.local_hit_sec,
             r.forward_overhead(),
+            r.connect_sec,
             r.failover_recompute_sec,
         );
     }

@@ -96,17 +96,42 @@ impl Client {
     }
 
     /// Send one raw request line, return the raw reply line.
+    ///
+    /// A read that fails after part of the reply arrived is reported as
+    /// `InvalidData`, so an `UnexpectedEof`, `ConnectionReset` or
+    /// `BrokenPipe` error always means no reply byte came back.
     pub fn send_line(&mut self, line: &str) -> io::Result<String> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
         let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(io::Error::new(
+        match self.reader.read_line(&mut reply) {
+            Ok(0) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            ));
+            )),
+            Ok(_) => Ok(reply.trim_end().to_string()),
+            Err(e) if !reply.is_empty() => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("reply cut after {} bytes: {e}", reply.len()),
+            )),
+            Err(e) => Err(e),
         }
-        Ok(reply.trim_end().to_string())
+    }
+
+    /// `true` while the connection is open with nothing unread: the far
+    /// side has neither closed it nor sent bytes nobody asked for.
+    #[cfg(test)]
+    pub(crate) fn is_idle_and_open(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let stream = self.reader.get_ref();
+        if stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let peeked = stream.peek(&mut [0u8; 1]);
+        let _ = stream.set_nonblocking(false);
+        matches!(peeked, Err(e) if e.kind() == io::ErrorKind::WouldBlock)
     }
 
     /// Send a typed request, decode the typed reply.

@@ -75,8 +75,10 @@
 //! back to one authoritative copy. Peer health is tracked per member by
 //! [`peer::PeerTable`] (Healthy → Probation → Ejected with jittered
 //! backoff re-probes), fed by in-band forward results and a background
-//! ping prober. The `peers` verb and `peer_*` stats counters expose all
-//! of it; `artifact_put` / `artifact_get` are the replication verbs.
+//! ping prober. Forwards, pushes and probes share a small pool of
+//! persistent connections per peer. The `peers` verb and `peer_*` stats
+//! counters expose all of it; `artifact_put` / `artifact_get` are the
+//! replication verbs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

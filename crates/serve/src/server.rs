@@ -34,7 +34,9 @@
 //! the queue is saturated. `shutdown` closes the queue, which gives
 //! clean draining for free: the dispatcher finishes everything already
 //! admitted, then exits; new compiles are refused with an error reply;
-//! the accept loop and connection threads notice the flag and wind down.
+//! the connection that carried it wakes the blocking accept loop with a
+//! self-connect, and idle connection threads notice the flag within one
+//! poll tick and wind down.
 //!
 //! With `peers` configured the server is one member of a **fleet**: a
 //! [`PeerRing`] routes each compile to its rendezvous owner (see
@@ -43,7 +45,9 @@
 //! replicate finished artifacts — including hinted handoff of results a
 //! non-owner computed while the owner was down. Owner unusable ⇒ the
 //! receiving daemon computes locally (`peer_failovers`) so the client
-//! is answered either way.
+//! is answered either way. Forwards, handoff pushes and probes ride a
+//! small pool of persistent connections per peer, so a forwarded cache
+//! hit costs one loopback round trip rather than a dial.
 
 use crate::cache::{ArtifactCache, CacheBudget, WaitTimedOut};
 use crate::client::Client;
@@ -59,6 +63,7 @@ use mps::artifact::ArtifactStore;
 use mps::par::{par_map_in, BoundedQueue, PushError};
 use mps::{CancelToken, Session, SharedStageMetrics, StageProbe, TableCache};
 use serde::Value;
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -118,9 +123,10 @@ pub struct ServeOptions {
     pub advertise: String,
     /// Milliseconds between peer health-probe rounds (default 1000).
     pub probe_interval_ms: u64,
-    /// Budget for one forward hop — dial plus the peer's reply — in
-    /// milliseconds (default 2000). Tighter of this and the request's
-    /// own deadline; a forward past it fails over to local compute.
+    /// Budget for one round trip to a peer — the dial when its pool has
+    /// no idle connection, then every write and read — in milliseconds
+    /// (default 2000). Tighter of this and the request's own deadline; a
+    /// forward past it fails over to local compute.
     pub forward_timeout_ms: u64,
     /// Chaos faults to inject (default: none).
     pub faults: FaultPlan,
@@ -170,9 +176,16 @@ impl Default for ServeOptions {
 /// an optimization, not a durability promise).
 const PENDING_HANDOFFS_MAX: usize = 64;
 
+/// Most idle connections kept open to one peer. Forwards, handoff
+/// pushes and probes each check one out for a single round trip and
+/// return it after a clean reply; a burst needing more dials extra
+/// connections, and the surplus is closed when it comes back.
+const IDLE_PEER_CONNS_MAX: usize = 4;
+
 /// Fleet state, present only when the server was started with peers:
-/// the rendezvous ring, the per-peer health table, and the hinted
-/// handoffs waiting for their owner to come back.
+/// the rendezvous ring, the per-peer health table, the hinted handoffs
+/// waiting for their owner to come back, and the idle connections to
+/// each peer.
 struct Fleet {
     ring: PeerRing,
     table: PeerTable,
@@ -180,6 +193,9 @@ struct Fleet {
     /// owner was unreachable; the prober flushes them when it next sees
     /// the owner healthy, so a restarted peer re-warms from the fleet.
     pending: Mutex<Vec<(String, String)>>,
+    /// Per peer address, a stack of idle connections (most recently
+    /// used on top), at most [`IDLE_PEER_CONNS_MAX`] deep.
+    idle: BTreeMap<String, Mutex<Vec<Client>>>,
 }
 
 /// One forward attempt's outcome, as the failover policy needs it
@@ -486,13 +502,8 @@ impl State {
             }
             timeout = timeout.min(left);
         }
-        let reply = (|| -> io::Result<String> {
-            let mut client = dial_peer(addr, timeout)?;
-            client.send_line(line)
-        })();
-        match reply {
-            Err(e) => Forwarded::Down(e.to_string()),
-            Ok(reply) => match Reply::from_line(&reply) {
+        let outcome = self.peer_call(addr, line, timeout, |reply| {
+            let outcome = match Reply::from_line(&reply) {
                 Ok(Reply::Error(e)) if e.code.as_deref() == Some("overloaded") => {
                     Forwarded::Shed(e.retry_after_ms.unwrap_or(25))
                 }
@@ -504,8 +515,57 @@ impl State {
                 }
                 Ok(_) => Forwarded::Line(reply),
                 Err(e) => Forwarded::Down(format!("unintelligible peer reply: {e}")),
-            },
+            };
+            let clean = !matches!(outcome, Forwarded::Down(_));
+            (outcome, clean)
+        });
+        outcome.unwrap_or_else(|e| Forwarded::Down(e.to_string()))
+    }
+
+    /// One request/reply round trip to peer `addr` on a pooled
+    /// connection, `timeout` bounding the dial and every write and read
+    /// (the per-use timeout is set on every checkout). `judge`
+    /// turns the reply line into the caller's outcome and says whether
+    /// the reply was clean; only then does the connection go back to
+    /// the pool, so a torn, draining or confused connection is never
+    /// reused.
+    ///
+    /// A *reused* connection that fails with EOF, reset or broken pipe
+    /// before any reply byte arrives was closed by the peer while idle
+    /// (say, a restart): the request is resent once on a fresh dial,
+    /// within what is left of `timeout`. Fleet requests are idempotent,
+    /// so the resend is safe; a timeout is never resent. Only the fresh
+    /// dial's outcome reaches the caller, and so the peer's health.
+    fn peer_call<T>(
+        &self,
+        addr: &str,
+        line: &str,
+        timeout: Duration,
+        judge: impl FnOnce(String) -> (T, bool),
+    ) -> io::Result<T> {
+        let started = Instant::now();
+        let pool = self.fleet.as_ref().and_then(|fleet| fleet.idle.get(addr));
+        let reused = pool.and_then(|idle| idle.lock().expect("peer pool poisoned").pop());
+        let (client, reply) = match reused.map(|client| round_trip(client, line, timeout)) {
+            Some(Ok(done)) => done,
+            Some(Err(e)) if is_stale_conn(&e) => {
+                let left = timeout.saturating_sub(started.elapsed());
+                if left.is_zero() {
+                    return Err(e);
+                }
+                round_trip(dial_peer(addr, left)?, line, left)?
+            }
+            Some(Err(e)) => return Err(e),
+            None => round_trip(dial_peer(addr, timeout)?, line, timeout)?,
+        };
+        let (outcome, clean) = judge(reply);
+        if let (true, Some(idle)) = (clean, pool) {
+            let mut idle = idle.lock().expect("peer pool poisoned");
+            if idle.len() < IDLE_PEER_CONNS_MAX {
+                idle.push(client);
+            }
         }
+        Ok(outcome)
     }
 
     /// The `MPS_FAULT_PEER_DOWN` substring fault, applied to forwards,
@@ -545,11 +605,10 @@ impl State {
             artifact: Some(artifact.to_string()),
             ..Request::default()
         };
-        (|| -> io::Result<bool> {
-            let mut client = dial_peer(addr, timeout)?;
-            let line = client.send_line(&req.to_line())?;
-            Ok(matches!(Reply::from_line(&line), Ok(Reply::ArtifactPut(_))))
-        })()
+        self.peer_call(addr, &req.to_line(), timeout, |line| {
+            let acked = matches!(Reply::from_line(&line), Ok(Reply::ArtifactPut(_)));
+            (acked, acked)
+        })
         .unwrap_or(false)
     }
 
@@ -630,26 +689,20 @@ impl State {
         }
     }
 
-    /// One health probe: dial and `ping`, bounded well under the probe
-    /// interval so a dead peer cannot stall the round.
+    /// One health probe: a `ping` round trip, bounded well under the
+    /// probe interval so a dead peer cannot stall the round.
     fn ping_peer(&self, addr: &str) -> Result<(), String> {
         if let Some(error) = self.injected_peer_fault(addr) {
             return Err(error);
         }
         let timeout = Duration::from_millis(self.opts.forward_timeout_ms.max(1))
             .min(Duration::from_millis(500));
-        (|| -> io::Result<()> {
-            let mut client = dial_peer(addr, timeout)?;
-            let line = client.send_line(&Request::op("ping").to_line())?;
-            match Reply::from_line(&line) {
-                Ok(Reply::Pong(_)) => Ok(()),
-                other => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected probe reply: {other:?}"),
-                )),
-            }
-        })()
-        .map_err(|e| e.to_string())
+        let ping = Request::op("ping").to_line();
+        self.peer_call(addr, &ping, timeout, |line| match Reply::from_line(&line) {
+            Ok(Reply::Pong(_)) => (Ok(()), true),
+            other => (Err(format!("unexpected probe reply: {other:?}")), false),
+        })
+        .map_err(|e| e.to_string())?
     }
 
     /// The `peers` verb: fleet membership and health, plus — when the
@@ -1041,8 +1094,8 @@ fn peer_infos(table: &PeerTable) -> Vec<PeerInfo> {
         .collect()
 }
 
-/// Dial a peer with `timeout` bounding the connect *and* every read —
-/// the fleet never lets a dead peer hold a thread past its budget.
+/// Dial a peer with `timeout` bounding the connect: the peer pool's only
+/// miss path.
 fn dial_peer(addr: &str, timeout: Duration) -> io::Result<Client> {
     let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(
@@ -1050,9 +1103,25 @@ fn dial_peer(addr: &str, timeout: Duration) -> io::Result<Client> {
             format!("peer address {addr} resolves to nothing"),
         )
     })?;
-    let mut client = Client::connect_timeout(&sockaddr, timeout)?;
+    Client::connect_timeout(&sockaddr, timeout)
+}
+
+/// Send `line` on `client` with `timeout` bounding every write and read
+/// of this use (the fleet never lets a dead peer hold a thread past its
+/// budget), handing the connection back with the reply.
+fn round_trip(mut client: Client, line: &str, timeout: Duration) -> io::Result<(Client, String)> {
     client.set_timeout(Some(timeout))?;
-    Ok(client)
+    let reply = client.send_line(line)?;
+    Ok((client, reply))
+}
+
+/// Did a round trip fail because the peer had closed the connection
+/// before any reply byte came back? (See [`Client::send_line`].)
+fn is_stale_conn(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset | io::ErrorKind::BrokenPipe
+    )
 }
 
 /// A running compile server (dispatcher thread live, front-ends ready).
@@ -1145,6 +1214,11 @@ impl Server {
                 ring: PeerRing::new(&opts.advertise, &opts.peers),
                 table: PeerTable::new(&opts.peers, jitter),
                 pending: Mutex::new(Vec::new()),
+                idle: opts
+                    .peers
+                    .iter()
+                    .map(|addr| (addr.clone(), Mutex::new(Vec::new())))
+                    .collect(),
             }
         });
         let state = Arc::new(State {
@@ -1273,43 +1347,44 @@ impl Server {
     /// Serve TCP connections on `listener` (thread per connection, at
     /// most `max_conns` at once) until a `shutdown` request arrives on
     /// any of them.
+    ///
+    /// The accept blocks, so a new connection is served the moment it
+    /// arrives. The connection that carries `shutdown` wakes it with a
+    /// self-connect to its own stream's local address (a listener bound
+    /// to `0.0.0.0` has no address to connect to); the loop then closes
+    /// the listener, so peers dialing during the drain are refused at
+    /// once, and joins the connection threads. A shutdown that reaches
+    /// the server any other way (say, [`Server::handle_line`]) takes
+    /// effect at the next accepted connection.
     pub fn run_tcp(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    // Reap finished connection threads so long-lived
-                    // servers don't accumulate handles, and so the
-                    // connection gate counts only live connections.
-                    conns.retain(|h| !h.is_finished());
-                    // Reply lines are small; avoid the Nagle/delayed-ACK
-                    // stall on the server side of each round trip too.
-                    let _ = stream.set_nodelay(true);
-                    if conns.len() >= self.state.opts.max_conns {
-                        self.state.sheds.fetch_add(1, Ordering::Relaxed);
-                        let hint = self.state.retry_after_hint();
-                        let mut stream = stream;
-                        let _ = writeln!(
-                            stream,
-                            "{}",
-                            encode(&ErrorReply::overloaded("?", None, hint))
-                        );
-                        continue; // dropped: over the connection cap
-                    }
-                    let state = Arc::clone(&self.state);
-                    conns.push(std::thread::spawn(move || serve_conn(&state, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    conns.retain(|h| !h.is_finished());
-                }
-                Err(e) => return Err(e),
+            let (stream, _addr) = listener.accept()?;
+            if self.state.shutdown.load(Ordering::SeqCst) {
+                break; // the wake-up self-connect, or a client too late
             }
+            // Reap finished connection threads so long-lived servers
+            // don't accumulate handles, and so the connection gate
+            // counts only live connections.
+            conns.retain(|h| !h.is_finished());
+            // Reply lines are small; avoid the Nagle/delayed-ACK stall
+            // on the server side of each round trip too.
+            let _ = stream.set_nodelay(true);
+            if conns.len() >= self.state.opts.max_conns {
+                self.state.sheds.fetch_add(1, Ordering::Relaxed);
+                let hint = self.state.retry_after_hint();
+                let mut stream = stream;
+                let _ = writeln!(
+                    stream,
+                    "{}",
+                    encode(&ErrorReply::overloaded("?", None, hint))
+                );
+                continue; // dropped: over the connection cap
+            }
+            let state = Arc::clone(&self.state);
+            conns.push(std::thread::spawn(move || serve_conn(&state, stream)));
         }
+        drop(listener);
         for conn in conns {
             let _ = conn.join();
         }
@@ -1345,8 +1420,15 @@ impl Drop for Server {
 /// stream. Hygiene: lines over `max_line_bytes` and clients stalled
 /// mid-line for longer than `read_timeout_ms` get the connection
 /// closed (the former with a protocol error first).
+///
+/// A `shutdown` request wakes [`Server::run_tcp`]'s blocking accept by
+/// connecting to this stream's local address as soon as the flag is
+/// set, before the ack is written: the drain must not depend on the
+/// ack reaching anyone (the client may be gone, or a chaos fault may
+/// cut the reply).
 fn serve_conn(state: &Arc<State>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let listen_addr = stream.local_addr();
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -1383,6 +1465,11 @@ fn serve_conn(state: &Arc<State>, stream: TcpStream) {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 let (reply, quit) = state.handle_line(line.trim_end());
+                if quit {
+                    if let Ok(addr) = &listen_addr {
+                        let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+                    }
+                }
                 if let Some(every) = state.opts.faults.drop_reply_every {
                     let nth = state.replies.fetch_add(1, Ordering::Relaxed) + 1;
                     if nth.is_multiple_of(every) {
@@ -1398,7 +1485,10 @@ fn serve_conn(state: &Arc<State>, stream: TcpStream) {
                 {
                     break;
                 }
-                if quit {
+                // Draining (this request's shutdown or another's): answer
+                // what arrived, then close, so a peer probing on a pooled
+                // connection cannot hold it open.
+                if state.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
             }
@@ -1877,6 +1967,232 @@ mod tests {
         stub.join().expect("stub owner exits");
         non_owner.handle_line(r#"{"op":"shutdown"}"#);
         non_owner.finish();
+    }
+
+    /// Wait up to `limit` for a server thread to exit, then join it.
+    fn joins_within(handle: std::thread::JoinHandle<()>, limit: Duration) -> bool {
+        let t0 = Instant::now();
+        while !handle.is_finished() {
+            if t0.elapsed() > limit {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().is_ok()
+    }
+
+    /// Send `shutdown` to the server at `addr` and expect its ack.
+    fn shut_down(addr: SocketAddr) {
+        Client::connect(addr, 0, Duration::ZERO)
+            .and_then(|mut c| c.shutdown())
+            .expect("shutdown ack");
+    }
+
+    #[test]
+    fn shutdown_with_a_cut_ack_still_drains() {
+        let (addr, server) = spawn_loopback(ServeOptions {
+            faults: FaultPlan {
+                drop_reply_every: Some(1),
+                ..FaultPlan::default()
+            },
+            ..one_worker()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(addr, 0, Duration::ZERO).expect("connect");
+        assert!(client.shutdown().is_err(), "the ack is cut mid-line");
+        assert!(joins_within(server, Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn shutdown_from_a_client_that_hangs_up_still_drains() {
+        let (addr, server) = spawn_loopback(one_worker()).expect("bind loopback");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, r#"{{"op":"shutdown"}}"#).expect("send shutdown");
+        drop(stream); // gone before the ack
+        assert!(joins_within(server, Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn shutdown_drains_past_a_chatty_persistent_connection() {
+        // A peer probing every 20 ms on a pooled connection never leaves
+        // it idle for a poll tick; the drain must close it anyway.
+        let (addr, server) = spawn_loopback(one_worker()).expect("bind loopback");
+        let mut chatty = Client::connect(addr, 0, Duration::ZERO).expect("connect");
+        let pinger = std::thread::spawn(move || {
+            let ping = Request::op("ping").to_line();
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_secs(5) && chatty.send_line(&ping).is_ok() {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        shut_down(addr);
+        assert!(joins_within(server, Duration::from_secs(2)));
+        pinger
+            .join()
+            .expect("pinger exits once its connection closes");
+    }
+
+    /// A compile request of `fig4` that `server`'s ring routes to its
+    /// peer, for each `pdef` in `1..=16` that hashes that way.
+    fn peer_owned_compiles(server: &Server) -> Vec<Request> {
+        let fleet = server.state.fleet.as_ref().expect("fleet configured");
+        (1..=16)
+            .map(|pdef| Request {
+                op: "compile".to_string(),
+                workload: Some("fig4".to_string()),
+                pdef: Some(pdef),
+                ..Request::default()
+            })
+            .filter(|req| {
+                let key = server.state.compile_key(req).expect("valid request");
+                matches!(fleet.ring.owner_of(key), Owner::Peer(_))
+            })
+            .collect()
+    }
+
+    /// The in-process non-owner's advertised address; nothing listens
+    /// there, and its owner is faulted not to dial it.
+    const NON_OWNER: &str = "127.0.0.1:7072";
+
+    /// A non-owner running in process whose one peer is `owner`: its
+    /// forwards are real TCP round trips. Returns once its boot probe
+    /// has finished, so the probe's pooled connection cannot race the
+    /// test's first forward.
+    fn non_owner_of(owner: SocketAddr) -> Server {
+        let server = Server::new(ServeOptions {
+            peers: vec![owner.to_string()],
+            advertise: NON_OWNER.to_string(),
+            probe_interval_ms: 3_600_000,
+            forward_timeout_ms: 1_000,
+            ..one_worker()
+        });
+        let t0 = Instant::now();
+        let probed = |server: &Server| {
+            let peer = &server.stats().peers[0];
+            peer.total_successes + peer.total_failures > 0
+        };
+        while !probed(&server) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "boot probe never finished"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        server
+    }
+
+    /// The owner half of a 2-member ring, on `listener`; its own peer
+    /// (the in-process non-owner, which never listens) is faulted down
+    /// so its prober never dials.
+    fn ring_owner(listener: TcpListener, faults: FaultPlan) -> std::thread::JoinHandle<()> {
+        let advertise = listener.local_addr().expect("owner addr").to_string();
+        spawn_on(
+            listener,
+            ServeOptions {
+                peers: vec![NON_OWNER.to_string()],
+                advertise,
+                probe_interval_ms: 3_600_000,
+                faults: FaultPlan {
+                    peer_down: Some(NON_OWNER.to_string()),
+                    ..faults
+                },
+                ..one_worker()
+            },
+        )
+    }
+
+    /// The non-owner's idle connections to its one peer.
+    fn idle_conns(server: &Server) -> Vec<bool> {
+        let fleet = server.state.fleet.as_ref().expect("fleet configured");
+        let idle = fleet.idle.values().next().expect("one peer");
+        let idle = idle.lock().unwrap();
+        idle.iter().map(Client::is_idle_and_open).collect()
+    }
+
+    fn compile_reply(server: &Server, req: &Request) -> crate::protocol::CompileReply {
+        let (reply, _) = server.handle_line(&req.to_line());
+        match Reply::from_line(&reply).unwrap() {
+            Reply::Compile(r) => r,
+            other => panic!("expected compile reply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shutdown_drains_past_an_idle_pooled_peer_connection() {
+        let (owner, handle) = spawn_loopback(one_worker()).expect("bind owner");
+        let non_owner = non_owner_of(owner);
+        let req = &peer_owned_compiles(&non_owner)[0];
+        compile_reply(&non_owner, req);
+        assert_eq!(idle_conns(&non_owner), [true], "one open idle connection");
+        shut_down(owner);
+        assert!(joins_within(handle, Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn forwarded_hits_reuse_one_pooled_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind owner");
+        let owner = listener.local_addr().expect("owner addr");
+        let handle = ring_owner(listener, FaultPlan::default());
+        let non_owner = non_owner_of(owner);
+        let req = &peer_owned_compiles(&non_owner)[0];
+        assert!(!compile_reply(&non_owner, req).cached, "cold on the owner");
+        for _ in 0..20 {
+            assert!(compile_reply(&non_owner, req).cached, "forwarded hit");
+        }
+        assert_eq!(idle_conns(&non_owner), [true], "exactly one pooled conn");
+        let stats = non_owner.stats();
+        assert_eq!((stats.peer_forwards, stats.peer_failovers), (21, 0));
+
+        // Restart the owner on the same port: the pooled connection is
+        // now dead, and the next forward gets through on one resend.
+        shut_down(owner);
+        assert!(joins_within(handle, Duration::from_secs(2)));
+        let handle = ring_owner(
+            TcpListener::bind(owner).expect("rebind owner port"),
+            FaultPlan::default(),
+        );
+        assert!(
+            !compile_reply(&non_owner, req).cached,
+            "the restarted owner answers cold"
+        );
+        let stats = non_owner.stats();
+        assert_eq!((stats.peer_forwards, stats.peer_failovers), (22, 0));
+        assert_eq!(stats.peers[0].state, "healthy");
+        assert_eq!(
+            stats.peers[0].total_failures, 0,
+            "the stale conn is no failure"
+        );
+        assert_eq!(idle_conns(&non_owner), [true]);
+
+        shut_down(owner);
+        assert!(joins_within(handle, Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn cut_replies_never_enter_the_pool() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind owner");
+        let owner = listener.local_addr().expect("owner addr");
+        // Every reply the owner writes is cut mid-line: the boot probe,
+        // both forwards and the handoff push all fail on a torn line.
+        let handle = ring_owner(
+            listener,
+            FaultPlan {
+                drop_reply_every: Some(1),
+                ..FaultPlan::default()
+            },
+        );
+        let non_owner = non_owner_of(owner);
+        assert_eq!(idle_conns(&non_owner), [], "the cut probe was dropped");
+        for req in &peer_owned_compiles(&non_owner)[..2] {
+            assert!(!compile_reply(&non_owner, req).cached, "failover answers");
+            assert_eq!(idle_conns(&non_owner), [], "a cut forward was pooled");
+        }
+        let stats = non_owner.stats();
+        assert_eq!((stats.peer_forwards, stats.peer_failovers), (0, 2));
+        assert_eq!(stats.peers[0].state, "ejected", "3 torn replies in a row");
+
+        let _ = Client::connect(owner, 0, Duration::ZERO).and_then(|mut c| c.shutdown());
+        assert!(joins_within(handle, Duration::from_secs(2)));
     }
 
     #[test]

@@ -109,6 +109,10 @@ extract() {
               sec: .local_hit_sec
           }),
           (.fleet_rows[]? | {
+              key: "fleet_connect/\(.workload)",
+              sec: .connect_sec
+          }),
+          (.fleet_rows[]? | {
               key: "fleet_failover_recompute/\(.workload)",
               sec: .failover_recompute_sec
           }),
